@@ -135,9 +135,8 @@ Status EcoDb::CloneWithCompression(
 Status EcoDb::Analyze(const std::string& table) {
   auto it = tables_.find(table);
   if (it == tables_.end()) return Status::NotFound("no table " + table);
-  catalog::TableStats stats;
-  ECODB_RETURN_IF_ERROR(it->second->AnalyzeInto(&stats));
-  return catalog_.UpdateStats(it->second->id(), std::move(stats));
+  ECODB_ASSIGN_OR_RETURN(auto stats, it->second->CachedStats());
+  return catalog_.UpdateStats(it->second->id(), *stats);
 }
 
 StatusOr<storage::BTreeIndex*> EcoDb::CreateIndex(const std::string& table,

@@ -102,7 +102,8 @@ class EcoDb {
       const std::string& table, const std::string& variant_name,
       const std::map<std::string, storage::CompressionKind>& kinds);
 
-  /// Refreshes catalog statistics for `table`.
+  /// Refreshes catalog statistics for `table` from the table's statistics
+  /// cache (computed once per Append; see TableStorage::CachedStats).
   Status Analyze(const std::string& table);
 
   /// Builds a B+tree index over an integer/date column of `table` (keys ->

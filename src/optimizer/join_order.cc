@@ -133,8 +133,8 @@ StatusOr<JoinGraph> JoinGraph::Analyze(const QuerySpec& spec) {
     if (side.stats != nullptr) {
       graph.stats_[rel] = *side.stats;
     } else {
-      ECODB_RETURN_IF_ERROR(
-          side.variants[0]->AnalyzeInto(&graph.stats_[rel]));
+      ECODB_ASSIGN_OR_RETURN(auto cached, side.variants[0]->CachedStats());
+      graph.stats_[rel] = *cached;
     }
     const double sel =
         Planner::EstimateSelectivity(side.filter, schema, graph.stats_[rel]);

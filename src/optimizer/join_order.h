@@ -43,8 +43,8 @@ class JoinGraph {
  public:
   /// Validates the graph (>= 2 relations, every edge endpoint and key
   /// resolves, column names unique across relations, graph connected) and
-  /// resolves statistics: TableAlternatives::stats when provided, else a
-  /// fresh analyze of variant 0.
+  /// resolves statistics: TableAlternatives::stats when provided, else
+  /// variant 0's cached statistics (TableStorage::CachedStats).
   static StatusOr<JoinGraph> Analyze(const QuerySpec& spec);
 
   int num_relations() const { return static_cast<int>(filtered_rows_.size()); }

@@ -619,7 +619,8 @@ StatusOr<Planner::Cardinalities> Planner::EstimateCardinalities(
   if (spec.left.stats != nullptr) {
     lstats = *spec.left.stats;
   } else {
-    ECODB_RETURN_IF_ERROR(spec.left.variants[0]->AnalyzeInto(&lstats));
+    ECODB_ASSIGN_OR_RETURN(auto cached, spec.left.variants[0]->CachedStats());
+    lstats = *cached;
   }
   const double lsel = EstimateSelectivity(
       spec.left.filter, spec.left.variants[0]->schema(), lstats);
@@ -636,7 +637,9 @@ StatusOr<Planner::Cardinalities> Planner::EstimateCardinalities(
     if (spec.right->stats != nullptr) {
       rstats = *spec.right->stats;
     } else {
-      ECODB_RETURN_IF_ERROR(spec.right->variants[0]->AnalyzeInto(&rstats));
+      ECODB_ASSIGN_OR_RETURN(auto cached,
+                             spec.right->variants[0]->CachedStats());
+      rstats = *cached;
     }
     const double rsel = EstimateSelectivity(
         spec.right->filter, spec.right->variants[0]->schema(), rstats);

@@ -47,8 +47,9 @@ struct TableAlternatives {
   const storage::BTreeIndex* index = nullptr;
   std::string index_column;
   /// Optional load-time statistics (e.g. from the catalog). When set they
-  /// feed cardinality estimation directly; when null the planner analyzes
-  /// variant 0 on demand. Statistics feed pricing only, never correctness.
+  /// feed cardinality estimation directly; when null the planner uses
+  /// variant 0's cached statistics (TableStorage::CachedStats, computed
+  /// once per Append). Statistics feed pricing only, never correctness.
   const catalog::TableStats* stats = nullptr;
 };
 

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cmath>
+#include <type_traits>
 #include <unordered_set>
 
 namespace ecodb::storage {
@@ -52,6 +54,28 @@ uint64_t RawColumnBytes(const catalog::Column& col, uint64_t rows,
   return rows * 8;
 }
 
+// Exact NDV with std::unordered_set semantics: -0.0 and 0.0 are one value
+// (they compare equal) and every NaN is its own value (NaN != NaN). A
+// sorted, NaN-free lane (dense keys) is counted in one pass over its runs,
+// without the set. Unsorted lanes keep the set: sorting a copy instead
+// measured 5-10x slower on low-NDV lanes (TPC-H l_suppkey, l_shipdate).
+template <typename T>
+uint64_t DistinctValues(const std::vector<T>& lane) {
+  bool runs = std::is_sorted(lane.begin(), lane.end());
+  if constexpr (std::is_floating_point_v<T>) {
+    // NaN has no place in the order is_sorted checks: a lane holding one
+    // can pass for sorted.
+    runs = runs && std::none_of(lane.begin(), lane.end(),
+                                [](T v) { return std::isnan(v); });
+  }
+  if (!runs) return std::unordered_set<T>(lane.begin(), lane.end()).size();
+  uint64_t distinct = lane.empty() ? 0 : 1;
+  for (size_t i = 1; i < lane.size(); ++i) {
+    if (lane[i] != lane[i - 1]) ++distinct;
+  }
+  return distinct;
+}
+
 }  // namespace
 
 Status TableStorage::Append(const std::vector<ColumnData>& columns) {
@@ -67,6 +91,12 @@ Status TableStorage::Append(const std::vector<ColumnData>& columns) {
     if (columns[i].size() != rows) {
       return Status::InvalidArgument("ragged column lengths");
     }
+  }
+  {
+    // Before the first mutation: the re-encode below can fail after the
+    // rows are already in.
+    std::lock_guard<std::mutex> lock(stats_mu_);
+    stats_cache_.reset();
   }
   for (int i = 0; i < schema_.num_columns(); ++i) {
     ColumnData& dst = columns_[i];
@@ -268,9 +298,7 @@ Status TableStorage::AnalyzeInto(catalog::TableStats* stats) const {
         if (!data.i64.empty()) {
           cs.min_i64 = *std::min_element(data.i64.begin(), data.i64.end());
           cs.max_i64 = *std::max_element(data.i64.begin(), data.i64.end());
-          std::unordered_set<int64_t> distinct(data.i64.begin(),
-                                               data.i64.end());
-          cs.distinct_values = distinct.size();
+          cs.distinct_values = DistinctValues(data.i64);
         }
         break;
       }
@@ -278,9 +306,7 @@ Status TableStorage::AnalyzeInto(catalog::TableStats* stats) const {
         if (!data.f64.empty()) {
           cs.min_f64 = *std::min_element(data.f64.begin(), data.f64.end());
           cs.max_f64 = *std::max_element(data.f64.begin(), data.f64.end());
-          std::unordered_set<double> distinct(data.f64.begin(),
-                                              data.f64.end());
-          cs.distinct_values = distinct.size();
+          cs.distinct_values = DistinctValues(data.f64);
         }
         break;
       }
@@ -293,6 +319,17 @@ Status TableStorage::AnalyzeInto(catalog::TableStats* stats) const {
     }
   }
   return Status::OK();
+}
+
+StatusOr<std::shared_ptr<const catalog::TableStats>>
+TableStorage::CachedStats() const {
+  std::lock_guard<std::mutex> lock(stats_mu_);
+  if (stats_cache_ == nullptr) {
+    auto fresh = std::make_shared<catalog::TableStats>();
+    ECODB_RETURN_IF_ERROR(AnalyzeInto(fresh.get()));
+    stats_cache_ = std::move(fresh);
+  }
+  return stats_cache_;
 }
 
 }  // namespace ecodb::storage

@@ -13,6 +13,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -101,6 +102,12 @@ class TableStorage {
   /// Computes fresh statistics into `stats` (row count, min/max, NDV).
   Status AnalyzeInto(catalog::TableStats* stats) const;
 
+  /// Statistics of the current contents: computed by AnalyzeInto on first
+  /// use, then shared until the next Append (the only call that changes
+  /// values). Equal to a fresh AnalyzeInto. Safe to call from several
+  /// threads at once, but not concurrently with Append.
+  StatusOr<std::shared_ptr<const catalog::TableStats>> CachedStats() const;
+
   /// Points the table at a different device (partition migration). The
   /// caller is responsible for charging the data-movement I/O.
   void Rebind(StorageDevice* device) { device_ = device; }
@@ -124,6 +131,9 @@ class TableStorage {
   /// Encoded buffers; empty for kNone columns.
   std::vector<std::vector<uint8_t>> encoded_;
   ZoneMapSet zone_maps_;
+  mutable std::mutex stats_mu_;
+  /// Guarded by stats_mu_; null until CachedStats fills it or after Append.
+  mutable std::shared_ptr<const catalog::TableStats> stats_cache_;
 };
 
 }  // namespace ecodb::storage

@@ -384,7 +384,8 @@ StatusOr<TpchDatabase> LoadDatabase(const TpchConfig& config,
     ECODB_ASSIGN_OR_RETURN(const catalog::TableId id,
                            catalog->CreateTable(name, std::move(schema)));
     ECODB_ASSIGN_OR_RETURN(out->storage, loader(config, id, layout, device));
-    ECODB_RETURN_IF_ERROR(out->storage->AnalyzeInto(&out->stats));
+    ECODB_ASSIGN_OR_RETURN(auto stats, out->storage->CachedStats());
+    out->stats = *stats;
     return catalog->UpdateStats(id, out->stats);
   };
   // Dimensions first so fact-table FKs can resolve their parents.

@@ -3,7 +3,11 @@
 // choice under an energy objective (Figure 2) and hash-vs-nested-loop under
 // memory-power pricing (Section 4.1).
 
+#include <bit>
+#include <cstdint>
 #include <memory>
+#include <thread>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -11,6 +15,7 @@
 #include "optimizer/cost_model.h"
 #include "optimizer/planner.h"
 #include "power/platform.h"
+#include "storage/btree.h"
 #include "storage/ssd.h"
 #include "storage/table_storage.h"
 
@@ -607,6 +612,185 @@ TEST_F(OptimizerTest, DescribeMentionsChoices) {
   EXPECT_NE(desc.find("dop="), std::string::npos);
 }
 
+// --- Statistics: cached (stats == nullptr) vs. explicit ----------------------
+
+/// Same choices and a bit-identical PlanCost.
+void ExpectSamePlan(const PhysicalPlan& a, const PhysicalPlan& b,
+                    const QuerySpec& spec) {
+  EXPECT_EQ(a.Describe(spec), b.Describe(spec));
+  EXPECT_EQ(a.left_variant, b.left_variant);
+  EXPECT_EQ(a.right_variant, b.right_variant);
+  EXPECT_EQ(a.left_path, b.left_path);
+  EXPECT_EQ(a.right_path, b.right_path);
+  EXPECT_EQ(a.join_algo, b.join_algo);
+  EXPECT_EQ(a.dop, b.dop);
+  EXPECT_EQ(a.pstate, b.pstate);
+  EXPECT_EQ(a.LeafOrder(), b.LeafOrder());
+  EXPECT_EQ(std::bit_cast<uint64_t>(a.cost.seconds),
+            std::bit_cast<uint64_t>(b.cost.seconds));
+  EXPECT_EQ(std::bit_cast<uint64_t>(a.cost.joules),
+            std::bit_cast<uint64_t>(b.cost.joules));
+  EXPECT_EQ(std::bit_cast<uint64_t>(a.output_rows),
+            std::bit_cast<uint64_t>(b.output_rows));
+}
+
+/// `spec` with explicit fresh statistics (kept in `store`) for every table
+/// it names: the 2-way sides, or the N-way relations.
+QuerySpec WithFreshStats(QuerySpec spec,
+                         std::vector<catalog::TableStats>* store) {
+  std::vector<TableAlternatives*> sides;
+  if (spec.relations.empty()) {
+    sides.push_back(&spec.left);
+    if (spec.right.has_value()) sides.push_back(&*spec.right);
+  }
+  for (TableAlternatives& rel : spec.relations) sides.push_back(&rel);
+  store->assign(sides.size(), catalog::TableStats{});
+  for (size_t i = 0; i < sides.size(); ++i) {
+    EXPECT_TRUE(sides[i]->variants[0]->AnalyzeInto(&(*store)[i]).ok());
+    sides[i]->stats = &(*store)[i];
+  }
+  return spec;
+}
+
+/// Fixture addition: two freshly loaded tables (their statistics caches
+/// still empty) and a filtered 2-way join over them.
+class CachedStatsTest : public OptimizerTest {
+ protected:
+  void SetUp() override {
+    left_ = MakeTable(1, 2000, 2000);
+    right_ = MakeTable(2, 20000, 20000);
+  }
+
+  QuerySpec JoinSpec() const {
+    QuerySpec spec;
+    spec.left.name = "l";
+    spec.left.variants = {left_.get()};
+    spec.left.columns = {"k", "v"};
+    spec.right.emplace();
+    spec.right->name = "r";
+    spec.right->variants = {right_.get()};
+    spec.right->columns = {"k", "v"};
+    spec.right->filter = Col("v") < Lit(int64_t{5000});
+    spec.left_key = "k";
+    spec.right_key = "k";
+    return spec;
+  }
+
+  std::unique_ptr<storage::TableStorage> left_, right_;
+};
+
+TEST_F(CachedStatsTest, NullStatsPlanMatchesExplicitFreshStats) {
+  CostModel model = MakeModel();
+  Planner planner(&model);
+  const QuerySpec spec = JoinSpec();
+  std::vector<catalog::TableStats> store;
+  const QuerySpec explicit_spec = WithFreshStats(spec, &store);
+  for (double lambda : {0.0, 0.05, 1e9}) {
+    SCOPED_TRACE("lambda=" + std::to_string(lambda));
+    auto cached = planner.ChoosePlan(spec, Objective::Balanced(lambda));
+    ASSERT_TRUE(cached.ok()) << cached.status().message();
+    auto fresh =
+        planner.ChoosePlan(explicit_spec, Objective::Balanced(lambda));
+    ASSERT_TRUE(fresh.ok()) << fresh.status().message();
+    ExpectSamePlan(*cached, *fresh, spec);
+  }
+}
+
+TEST_F(CachedStatsTest, AppendThenReplanMatchesFreshStats) {
+  // A range filter on v with an index on v: the access path follows the
+  // filter's estimated matches, i.e. v's cached min/max. Planning fills the
+  // cache with v in [0, 20000), where v < 500 is estimated to touch every
+  // heap page and the table scan wins.
+  storage::BTreeIndex index(128);
+  const auto index_rows = [&index](const storage::TableStorage& t,
+                                   uint64_t from) {
+    const storage::ColumnData& v = t.RawColumn(1);
+    for (uint64_t r = from; r < t.row_count(); ++r) index.Insert(v.i64[r], r);
+  };
+  index_rows(*right_, 0);
+  QuerySpec spec;
+  spec.left.name = "r";
+  spec.left.variants = {right_.get()};
+  spec.left.columns = {"k", "v"};
+  spec.left.filter = Col("v") < Lit(int64_t{500});
+  spec.left.index = &index;
+  spec.left.index_column = "v";
+
+  CostModel model = MakeModel();
+  Planner planner(&model);
+  auto first = planner.ChoosePlan(spec, Objective::Performance());
+  ASSERT_TRUE(first.ok());
+  auto stale = right_->CachedStats();
+  ASSERT_TRUE(stale.ok());
+
+  // Append rows far above the filter: v's max jumps to ~1e9, the estimate
+  // collapses to ~0 rows and the index path wins.
+  std::vector<storage::ColumnData> more(3);
+  more[0].type = DataType::kInt64;
+  more[1].type = DataType::kInt64;
+  more[2].type = DataType::kDouble;
+  for (int i = 0; i < 20000; ++i) {
+    more[0].i64.push_back(i);
+    more[1].i64.push_back(int64_t{1000000000} + i);
+    more[2].f64.push_back(i * 0.25);
+  }
+  const uint64_t old_rows = right_->row_count();
+  ASSERT_TRUE(right_->Append(more).ok());
+  index_rows(*right_, old_rows);
+
+  auto replanned = planner.ChoosePlan(spec, Objective::Performance());
+  ASSERT_TRUE(replanned.ok());
+  std::vector<catalog::TableStats> store;
+  auto fresh = planner.ChoosePlan(WithFreshStats(spec, &store),
+                                  Objective::Performance());
+  ASSERT_TRUE(fresh.ok());
+  ExpectSamePlan(*replanned, *fresh, spec);
+
+  // The pre-Append snapshot plans the old path: a cache that Append failed
+  // to drop would show up as a mismatch above.
+  QuerySpec stale_spec = spec;
+  stale_spec.left.stats = stale->get();
+  auto stale_plan = planner.ChoosePlan(stale_spec, Objective::Performance());
+  ASSERT_TRUE(stale_plan.ok());
+  EXPECT_EQ(first->left_path, AccessPath::kTableScan);
+  EXPECT_EQ(stale_plan->left_path, AccessPath::kTableScan);
+  EXPECT_EQ(fresh->left_path, AccessPath::kIndexScan)
+      << fresh->Describe(spec);
+}
+
+TEST_F(CachedStatsTest, ConcurrentPlannersShareOneCacheFill) {
+  // Four planners race to fill the empty caches of both tables; every
+  // thread must see the same statistics and so the same plan.
+  CostModel model = MakeModel();
+  Planner planner(&model);
+  const QuerySpec spec = JoinSpec();
+  std::vector<catalog::TableStats> store;
+  auto expected =
+      planner.ChoosePlan(WithFreshStats(spec, &store), Objective::Energy());
+  ASSERT_TRUE(expected.ok());
+
+  constexpr int kThreads = 4;
+  constexpr int kPlansPerThread = 8;
+  std::vector<std::vector<PhysicalPlan>> plans(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int i = 0; i < kPlansPerThread; ++i) {
+        auto plan = planner.ChoosePlan(spec, Objective::Energy());
+        if (plan.ok()) plans[t].push_back(*plan);
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  for (int t = 0; t < kThreads; ++t) {
+    SCOPED_TRACE("thread " + std::to_string(t));
+    ASSERT_EQ(plans[t].size(), static_cast<size_t>(kPlansPerThread));
+    for (const PhysicalPlan& plan : plans[t]) {
+      ExpectSamePlan(plan, *expected, spec);
+    }
+  }
+}
+
 // --- N-way join ordering -------------------------------------------------------
 
 /// Fixture addition: tables with per-relation column names (the N-way join
@@ -737,6 +921,23 @@ TEST_F(JoinOrderFlipTest, DescribeRendersFullJoinTree) {
   EXPECT_NE(desc.find("seq-scan(mid)"), std::string::npos) << desc;
   EXPECT_NE(desc.find("seq-scan(fat)"), std::string::npos) << desc;
   EXPECT_NE(desc.find("("), std::string::npos) << desc;
+}
+
+TEST_F(JoinOrderFlipTest, NullStatsPlanMatchesExplicitFreshStats) {
+  const QuerySpec spec = MakeChainSpec();
+  std::vector<catalog::TableStats> store;
+  const QuerySpec explicit_spec = WithFreshStats(spec, &store);
+  CostModel model = MakeModel(1e6);
+  Planner planner(&model);
+  for (double lambda : {0.0, 10.0}) {
+    SCOPED_TRACE("lambda=" + std::to_string(lambda));
+    auto cached = planner.ChoosePlan(spec, Objective::Balanced(lambda));
+    ASSERT_TRUE(cached.ok()) << cached.status().message();
+    auto fresh =
+        planner.ChoosePlan(explicit_spec, Objective::Balanced(lambda));
+    ASSERT_TRUE(fresh.ok()) << fresh.status().message();
+    ExpectSamePlan(*cached, *fresh, spec);
+  }
 }
 
 TEST_F(JoinOrderFlipTest, DisconnectedGraphRejected) {
